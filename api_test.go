@@ -1,8 +1,11 @@
 package pinnedloads
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"pinnedloads/internal/trace"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -161,5 +164,60 @@ func TestSeedRobustness(t *testing.T) {
 			t.Fatalf("seed %d: EP (%.3f) not faster than Comp (%.3f)",
 				seed, cpi[EP], cpi[Comp])
 		}
+	}
+}
+
+// panicWorkload is a Workload whose instruction generator panics.
+type panicWorkload struct{}
+
+func (panicWorkload) Name() string { return "panic-workload" }
+func (panicWorkload) Cores() int   { return 1 }
+func (panicWorkload) Generator(core int, seed uint64) trace.Generator {
+	panic("generator exploded")
+}
+
+// TestRunRecoversWorkloadPanic checks that a panic inside a caller's
+// workload comes back from Run as an error instead of crashing the caller.
+func TestRunRecoversWorkloadPanic(t *testing.T) {
+	_, err := Run(RunSpec{Workload: panicWorkload{}, Warmup: 100, Measure: 1000})
+	if err == nil || !strings.Contains(err.Error(), "generator exploded") {
+		t.Fatalf("err = %v, want the recovered panic", err)
+	}
+}
+
+// TestRunMetricsInterval checks the time series RunSpec.MetricsInterval
+// asks for: one snapshot at every whole interval, then a final snapshot at
+// the last cycle whose totals are the run's counters.
+func TestRunMetricsInterval(t *testing.T) {
+	const interval = 1000
+	res, err := Run(RunSpec{Benchmark: "gcc_r", Scheme: Fence, Variant: EP,
+		Warmup: 500, Measure: 4000, MetricsInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(res.Snapshots)
+	if n < 2 {
+		t.Fatalf("%d snapshots, want several", n)
+	}
+	for i, s := range res.Snapshots[:n-1] {
+		if want := int64(i+1) * interval; s.Cycle != want {
+			t.Fatalf("snapshot %d at cycle %d, want %d", i, s.Cycle, want)
+		}
+	}
+	last := res.Snapshots[n-1]
+	if whole := int64(n-1) * interval; last.Cycle <= whole || last.Cycle > whole+interval {
+		t.Fatalf("final snapshot at cycle %d, want in (%d, %d]", last.Cycle, whole, whole+interval)
+	}
+	if !reflect.DeepEqual(last.Counters, res.Counters.Snapshot()) {
+		t.Fatal("final snapshot differs from Result.Counters")
+	}
+	sum := map[string]uint64{}
+	for _, s := range res.Snapshots {
+		for k, d := range s.Delta {
+			sum[k] += d
+		}
+	}
+	if !reflect.DeepEqual(sum, last.Counters) {
+		t.Fatal("snapshot deltas do not add up to the final counters")
 	}
 }

@@ -1,23 +1,14 @@
-// Package branch provides the branch-direction predictors used by the
-// simulated frontend. The paper's machine uses an LTAGE predictor with a
-// 4096-entry BTB and a 16-entry RAS; this package implements a TAGE-lite
-// direction predictor of that family, a simpler gshare predictor, and a
-// parametric predictor driven by per-workload misprediction annotations.
+// Package branch provides the table-based branch-direction predictor of
+// the simulated frontend. The paper's machine uses an LTAGE predictor with
+// a 4096-entry BTB and a 16-entry RAS; this package implements a TAGE-lite
+// direction predictor of that family, which Config.RealPredictor selects.
 //
 // The synthetic workload proxies (package trace) use the parametric
 // predictor by default: each proxy encodes its application's published
 // misprediction behaviour directly, which is what determines how control
-// dependences delay the Visibility Point. The table-based predictors
-// exercise the same pipeline interfaces on generated PC streams.
+// dependences delay the Visibility Point. TAGE exercises the same pipeline
+// interfaces on generated PC streams.
 package branch
-
-// Predictor predicts conditional branch directions.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the resolved direction.
-	Update(pc uint64, taken bool)
-}
 
 // counter is a 2-bit saturating counter; values >= 2 predict taken.
 type counter uint8
@@ -35,41 +26,6 @@ func (c counter) train(taken bool) counter {
 		return c - 1
 	}
 	return c
-}
-
-// GShare is a global-history XOR-indexed pattern history table.
-type GShare struct {
-	table   []counter
-	history uint64
-	bits    uint
-}
-
-// NewGShare returns a gshare predictor with 2^bits counters.
-func NewGShare(bits uint) *GShare {
-	if bits == 0 || bits > 24 {
-		panic("branch: gshare bits out of range")
-	}
-	g := &GShare{table: make([]counter, 1<<bits), bits: bits}
-	for i := range g.table {
-		g.table[i] = 1 // weakly not-taken
-	}
-	return g
-}
-
-func (g *GShare) index(pc uint64) uint64 {
-	return (pc ^ g.history) & (uint64(len(g.table)) - 1)
-}
-
-// Predict implements Predictor.
-func (g *GShare) Predict(pc uint64) bool {
-	return g.table[g.index(pc)].taken()
-}
-
-// Update implements Predictor.
-func (g *GShare) Update(pc uint64, taken bool) {
-	i := g.index(pc)
-	g.table[i] = g.table[i].train(taken)
-	g.history = (g.history << 1) | boolBit(taken)
 }
 
 func boolBit(b bool) uint64 {

@@ -8,7 +8,7 @@ import (
 
 // accuracy trains a predictor on a deterministic outcome function and
 // returns its hit rate over the last half of the run.
-func accuracy(p Predictor, outcome func(i int, pc uint64) bool, n int) float64 {
+func accuracy(p *TAGE, outcome func(i int, pc uint64) bool, n int) float64 {
 	hits, measured := 0, 0
 	for i := 0; i < n; i++ {
 		pc := uint64(0x400000 + 4*(i%16))
@@ -25,17 +25,17 @@ func accuracy(p Predictor, outcome func(i int, pc uint64) bool, n int) float64 {
 	return float64(hits) / float64(measured)
 }
 
-func TestGShareLearnsBias(t *testing.T) {
+func TestTAGELearnsBias(t *testing.T) {
 	// Always-taken branches must be predicted nearly perfectly.
-	acc := accuracy(NewGShare(12), func(int, uint64) bool { return true }, 4000)
+	acc := accuracy(NewTAGE(10, 9), func(int, uint64) bool { return true }, 4000)
 	if acc < 0.99 {
 		t.Fatalf("always-taken accuracy %.3f", acc)
 	}
 }
 
-func TestGShareLearnsAlternating(t *testing.T) {
+func TestTAGELearnsAlternating(t *testing.T) {
 	// A strict alternation is history-predictable.
-	acc := accuracy(NewGShare(12), func(i int, _ uint64) bool { return i%2 == 0 }, 8000)
+	acc := accuracy(NewTAGE(10, 9), func(i int, _ uint64) bool { return i%2 == 0 }, 8000)
 	if acc < 0.9 {
 		t.Fatalf("alternating accuracy %.3f", acc)
 	}
@@ -50,17 +50,6 @@ func TestTAGELearnsLongPattern(t *testing.T) {
 	}
 }
 
-func TestTAGEBeatsGShareOnLongHistory(t *testing.T) {
-	pattern := []bool{true, true, false, true, false, false, true, false, true, true, false, false,
-		true, false, false, false}
-	f := func(i int, _ uint64) bool { return pattern[i%len(pattern)] }
-	tage := accuracy(NewTAGE(10, 9), f, 40000)
-	small := accuracy(NewGShare(6), f, 40000)
-	if tage <= small {
-		t.Fatalf("TAGE %.3f not better than tiny gshare %.3f", tage, small)
-	}
-}
-
 func TestPredictorsOnRandom(t *testing.T) {
 	// Random outcomes: accuracy should hover near 50%, not crash.
 	rng := xrand.New(7)
@@ -68,78 +57,6 @@ func TestPredictorsOnRandom(t *testing.T) {
 	if acc < 0.3 || acc > 0.7 {
 		t.Fatalf("random-outcome accuracy %.3f implausible", acc)
 	}
-}
-
-func TestGSharePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewGShare(0) did not panic")
-		}
-	}()
-	NewGShare(0)
-}
-
-func TestBTB(t *testing.T) {
-	b := NewBTB(64)
-	if _, ok := b.Lookup(0x1000); ok {
-		t.Fatal("hit in empty BTB")
-	}
-	b.Insert(0x1000, 0x2000)
-	if target, ok := b.Lookup(0x1000); !ok || target != 0x2000 {
-		t.Fatalf("Lookup = %#x,%v", target, ok)
-	}
-}
-
-func TestBTBConflict(t *testing.T) {
-	b := NewBTB(4)
-	b.Insert(4, 100)
-	b.Insert(8, 200) // maps to the same slot as 4 in a 4-entry BTB
-	if _, ok := b.Lookup(4); ok {
-		t.Fatal("evicted entry still hits")
-	}
-	if target, ok := b.Lookup(8); !ok || target != 200 {
-		t.Fatal("new entry missing")
-	}
-}
-
-func TestRASPushPop(t *testing.T) {
-	r := NewRAS(4)
-	r.Push(1)
-	r.Push(2)
-	if a, ok := r.Pop(); !ok || a != 2 {
-		t.Fatalf("Pop = %d,%v", a, ok)
-	}
-	if a, ok := r.Pop(); !ok || a != 1 {
-		t.Fatalf("Pop = %d,%v", a, ok)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("Pop on empty RAS succeeded")
-	}
-}
-
-func TestRASOverflowWraps(t *testing.T) {
-	r := NewRAS(2)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3) // overwrites 1
-	if a, _ := r.Pop(); a != 3 {
-		t.Fatalf("Pop = %d, want 3", a)
-	}
-	if a, _ := r.Pop(); a != 2 {
-		t.Fatalf("Pop = %d, want 2", a)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("RAS depth exceeded its size")
-	}
-}
-
-func TestRASPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRAS(0) did not panic")
-		}
-	}()
-	NewRAS(0)
 }
 
 func TestFoldHistory(t *testing.T) {
@@ -152,43 +69,5 @@ func TestFoldHistory(t *testing.T) {
 		if f != foldHistory(h, 16, 9) {
 			t.Fatal("foldHistory not deterministic")
 		}
-	}
-}
-
-func TestPerceptronLearnsBias(t *testing.T) {
-	acc := accuracy(NewPerceptron(10, 16), func(int, uint64) bool { return true }, 4000)
-	if acc < 0.99 {
-		t.Fatalf("always-taken accuracy %.3f", acc)
-	}
-}
-
-func TestPerceptronLearnsLinearPattern(t *testing.T) {
-	// Alternation is linearly separable over history.
-	acc := accuracy(NewPerceptron(10, 16), func(i int, _ uint64) bool { return i%2 == 0 }, 10000)
-	if acc < 0.95 {
-		t.Fatalf("alternating accuracy %.3f", acc)
-	}
-}
-
-func TestPerceptronLongPeriod(t *testing.T) {
-	pattern := []bool{true, true, false, true, false, false, true, false}
-	acc := accuracy(NewPerceptron(10, 24), func(i int, _ uint64) bool { return pattern[i%len(pattern)] }, 30000)
-	if acc < 0.85 {
-		t.Fatalf("period-8 accuracy %.3f", acc)
-	}
-}
-
-func TestPerceptronPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry did not panic")
-		}
-	}()
-	NewPerceptron(0, 8)
-}
-
-func TestSaturate16(t *testing.T) {
-	if saturate16(1000) != 127 || saturate16(-1000) != -127 || saturate16(5) != 5 {
-		t.Fatal("saturation wrong")
 	}
 }

@@ -2,31 +2,6 @@ package branch
 
 import "pinnedloads/internal/ckptio"
 
-// SaveState serializes the gshare tables and global history.
-func (g *GShare) SaveState(e *ckptio.Encoder) {
-	e.U64(uint64(len(g.table)))
-	for _, c := range g.table {
-		e.U8(uint8(c))
-	}
-	e.U64(g.history)
-}
-
-// LoadState restores a gshare predictor of the same geometry.
-func (g *GShare) LoadState(d *ckptio.Decoder) {
-	n := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	if n != uint64(len(g.table)) {
-		d.Failf("gshare has %d counters, checkpoint has %d", len(g.table), n)
-		return
-	}
-	for i := range g.table {
-		g.table[i] = counter(d.U8())
-	}
-	g.history = d.U64()
-}
-
 // SaveState serializes the TAGE base table, tagged tables and history.
 func (t *TAGE) SaveState(e *ckptio.Encoder) {
 	e.U64(uint64(len(t.base)))

@@ -81,7 +81,7 @@ func (t *TAGE) lookup(pc uint64) int {
 	return -1
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (t *TAGE) Predict(pc uint64) bool {
 	if i := t.lookup(pc); i >= 0 {
 		tt := &t.tables[i]
@@ -90,7 +90,7 @@ func (t *TAGE) Predict(pc uint64) bool {
 	return t.base[pc&uint64(len(t.base)-1)].taken()
 }
 
-// Update implements Predictor.
+// Update trains the predictor with the resolved direction.
 func (t *TAGE) Update(pc uint64, taken bool) {
 	provider := t.lookup(pc)
 	correct := t.Predict(pc) == taken

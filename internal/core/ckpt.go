@@ -86,10 +86,5 @@ func (s *System) SetCheckpointHook(every int64, fn func() error) {
 	s.lastCkpt = s.cycle
 }
 
-// SetWarmupHook arranges for fn to run once, at the safe point between the
-// warmup and measure phases of the next Run. It does not fire when a
-// restored run skips an already-completed warmup.
-func (s *System) SetWarmupHook(fn func()) { s.warmupHook = fn }
-
 // Resumed reports whether this system's state came from Restore.
 func (s *System) Resumed() bool { return s.resumed }

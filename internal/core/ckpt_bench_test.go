@@ -28,8 +28,7 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 }
 
 // BenchmarkCheckpointRestore measures loading that snapshot back into a
-// live system — the cost a resumed job or a warm-forked sweep run pays
-// once at startup.
+// live system — the cost a resumed job pays once at startup.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	pol := defense.Policy{Scheme: defense.DOM, Variant: defense.LP}
 	sys := newBenchSystem(b, pol, nil)

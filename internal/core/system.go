@@ -47,7 +47,6 @@ type System struct {
 	ckptEvery    int64
 	lastCkpt     int64
 	ckptFn       func() error
-	warmupHook   func()
 }
 
 // progressWindow bounds how long the simulator tolerates zero retirement
@@ -161,9 +160,6 @@ func (s *System) RunContext(ctx context.Context, warmup, measure int64) (Result,
 		}
 		s.warmupDone = start
 		s.warmupTarget = warmup
-		if s.warmupHook != nil {
-			s.warmupHook()
-		}
 	}
 	end, err := s.runUntil(ctx, warmup+measure)
 	if err != nil {

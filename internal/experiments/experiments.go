@@ -34,7 +34,6 @@ import (
 	"pinnedloads/internal/service"
 	"pinnedloads/internal/simcache"
 	"pinnedloads/internal/simrun"
-	"pinnedloads/internal/speckey"
 	"pinnedloads/internal/trace"
 )
 
@@ -53,15 +52,13 @@ func DefaultParams() Params { return Params{Warmup: 15_000, Measure: 60_000, See
 func QuickParams() Params { return Params{Warmup: 2_000, Measure: 8_000, Seed: 1} }
 
 // runReq names one simulation an experiment needs: the workload, the
-// defense policy, and an optional config override. cfgTag is a display
-// label only — memoization is content-addressed over the effective
-// configuration itself, so two requests dedupe exactly when they describe
-// the same simulation, whatever they are tagged.
+// defense policy, and an optional config override. Memoization is
+// content-addressed over the effective configuration itself, so two
+// requests dedupe exactly when they describe the same simulation.
 type runReq struct {
-	bench  trace.Source
-	pol    defense.Policy
-	cfg    *arch.Config
-	cfgTag string
+	bench trace.Source
+	pol   defense.Policy
+	cfg   *arch.Config
 }
 
 // normalizePolicy folds a full-Comprehensive condition override into the
@@ -81,49 +78,6 @@ type RemoteRunner interface {
 	Run(ctx context.Context, spec service.JobSpec) (*simrun.Output, error)
 }
 
-// WarmStore caches warmup-boundary checkpoints so sweeps that revisit the
-// same warmed prefix fork from the checkpoint instead of re-simulating
-// warmup. The key covers everything that determines the warmed state —
-// benchmark, policy, effective configuration, seed and warmup length —
-// with the measure length zeroed out: two runs that differ only in how
-// long they measure share one warmed prefix. A store is safe for
-// concurrent use and can be shared across Runner instances (a repeated
-// sweep's second pass forks every run). Because the simulator is
-// deterministic, a forked run is bit-identical to a cold one; the
-// equivalence tests in internal/checkpoint enforce that, and
-// TestWarmForkCSVIdentical enforces it end-to-end at the CSV layer.
-type WarmStore struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-// NewWarmStore returns an empty warm-checkpoint store.
-func NewWarmStore() *WarmStore { return &WarmStore{m: make(map[string][]byte)} }
-
-// Len reports how many warmed prefixes the store holds.
-func (s *WarmStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-func (s *WarmStore) lookup(key string) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[key]
-}
-
-// store publishes a warm checkpoint; the first writer for a key wins
-// (concurrent writers hold byte-identical blobs — the simulation is a
-// deterministic function of the key).
-func (s *WarmStore) store(key string, blob []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; !ok {
-		s.m[key] = blob
-	}
-}
-
 // Runner executes simulations with memoization so experiments can share
 // baselines. run is safe for concurrent use; runAll spreads a request set
 // over a worker pool. The zero Workers value uses every available CPU.
@@ -141,16 +95,10 @@ type Runner struct {
 	// replays, the Figure 2 micro-profiles — always simulate locally
 	// because the service can only name what its registry holds.
 	Remote RemoteRunner
-	// Warm, when non-nil, shares warmup-boundary checkpoints across runs:
-	// a local simulation whose warmed prefix is already in the store
-	// resumes from the checkpoint instead of re-executing warmup, and a
-	// cold run publishes its warmup checkpoint for later runs to fork.
-	Warm *WarmStore
 
 	memo   *simcache.Memo
 	sims   atomic.Int64
 	remote atomic.Int64
-	forks  atomic.Int64
 }
 
 // NewRunner returns a Runner with the given parameters.
@@ -166,93 +114,61 @@ func (r *Runner) Simulations() int64 { return r.sims.Load() }
 // RemoteRuns returns how many simulations the Remote hook served.
 func (r *Runner) RemoteRuns() int64 { return r.remote.Load() }
 
-// Forks returns how many local simulations skipped warmup by forking a
-// warm checkpoint from the Warm store.
-func (r *Runner) Forks() int64 { return r.forks.Load() }
-
-// key returns a request's content-addressed memoization key: the shared
-// speckey digest over the benchmark, the resolved policy, the effective
-// configuration and the runner's sizing — the same identity the
-// simulation service uses as job ID, so a result computed by either side
-// names the other's.
-func (r *Runner) key(bench trace.Source, pol defense.Policy, cfg *arch.Config) string {
-	pol = normalizePolicy(pol)
-	return speckey.Spec{
+// describe returns one simulation of bench under the policy at the
+// runner's sizing as a simrun.Run: the same description, defaults and key
+// the public API and the simulation service use, so a result computed by
+// any of them names the others'.
+func (r *Runner) describe(bench trace.Source, pol defense.Policy, cfg *arch.Config) simrun.Run {
+	return simrun.Run{
 		Benchmark: bench.Name(),
-		Scheme:    pol.Scheme.String(),
-		Variant:   pol.Variant.String(),
-		Conds:     uint8(pol.VPConds()),
-		Seed:      r.P.Seed,
-		Warmup:    r.P.Warmup,
-		Measure:   r.P.Measure,
-		Config:    effectiveConfig(bench, cfg),
-	}.Key()
+		Cores:     bench.Cores(),
+		Policy:    normalizePolicy(pol),
+		Config:    cfg,
+		Params:    simrun.Params{Seed: r.P.Seed, Warmup: r.P.Warmup, Measure: r.P.Measure},
+	}
 }
 
-// effectiveConfig resolves what the simulator will actually run: the
-// paper machine at the workload's core count unless overridden.
-func effectiveConfig(bench trace.Source, cfg *arch.Config) *arch.Config {
-	if cfg == nil {
-		c := arch.PaperConfig(bench.Cores())
-		return &c
-	}
-	return cfg
+// key returns a request's content-addressed memoization key.
+func (r *Runner) key(q runReq) string {
+	run := r.describe(q.bench, q.pol, q.cfg)
+	return run.Key()
 }
 
 // run executes (or recalls) one simulation of bench under the policy. It
 // is safe for concurrent use: the first caller for a key simulates, every
 // other caller blocks until that simulation finishes and shares its
 // result. Failures are returned as errors, never panics, and are
-// memoized like results. cfgTag only labels the request (see runReq).
-func (r *Runner) run(bench trace.Source, pol defense.Policy, cfg *arch.Config, cfgTag string) (*simrun.Output, error) {
-	pol = normalizePolicy(pol)
-	return r.memo.Do(r.key(bench, pol, cfg), func() (*simrun.Output, error) {
-		return r.simulate(bench, pol, cfg)
+// memoized like results.
+func (r *Runner) run(bench trace.Source, pol defense.Policy, cfg *arch.Config) (*simrun.Output, error) {
+	run := r.describe(bench, pol, cfg)
+	key := run.Key() // normalizes run
+	return r.memo.Do(key, func() (*simrun.Output, error) {
+		return r.simulate(bench, run, cfg)
 	})
 }
 
 // get resolves a request through the memo cache.
 func (r *Runner) get(q runReq) (*simrun.Output, error) {
-	return r.run(q.bench, q.pol, q.cfg, q.cfgTag)
+	return r.run(q.bench, q.pol, q.cfg)
 }
 
 // simulate executes one simulation in the calling goroutine, remotely
 // when a Remote hook is installed and the workload is service-addressable,
 // locally otherwise (via the shared simrun path, which snapshots counters
-// and hardware summaries and recovers panics into errors).
-func (r *Runner) simulate(bench trace.Source, pol defense.Policy, cfg *arch.Config) (*simrun.Output, error) {
+// and hardware summaries and recovers panics into errors). cfg is the
+// request's own machine override, nil for the default.
+func (r *Runner) simulate(bench trace.Source, run simrun.Run, cfg *arch.Config) (*simrun.Output, error) {
 	if r.Remote != nil {
-		if spec, ok := r.remoteSpec(bench, pol, cfg); ok {
+		if spec, ok := remoteSpec(bench, run, cfg); ok {
 			out, err := r.Remote.Run(context.Background(), spec)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: remote %s %s: %w", bench.Name(), pol, err)
+				return nil, fmt.Errorf("experiments: remote %s %s: %w", bench.Name(), run.Policy, err)
 			}
 			r.remote.Add(1)
 			return out, nil
 		}
 	}
-	p := simrun.Params{
-		Seed:    r.P.Seed,
-		Warmup:  r.P.Warmup,
-		Measure: r.P.Measure,
-	}
-	if r.Warm != nil && r.P.Warmup > 0 {
-		wkey := r.warmKey(bench, pol, cfg)
-		if blob := r.Warm.lookup(wkey); blob != nil {
-			warmed := p
-			warmed.Resume = blob
-			if out, err := simrun.Execute(context.Background(), bench, pol, cfg, warmed); err == nil {
-				r.forks.Add(1)
-				r.sims.Add(1)
-				return out, nil
-			}
-			// A checkpoint that fails to restore (version skew, fingerprint
-			// mismatch) is ignored: fall through and run cold.
-		}
-		p.CheckpointIdentity = "warm:" + wkey
-		p.WarmupSink = func(b []byte) { r.Warm.store(wkey, b) }
-	}
-	out, err := simrun.Execute(context.Background(), bench, pol, cfg, p)
+	out, err := simrun.Execute(context.Background(), bench, run.Policy, run.Config, run.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -260,27 +176,12 @@ func (r *Runner) simulate(bench trace.Source, pol defense.Policy, cfg *arch.Conf
 	return out, nil
 }
 
-// warmKey is the warm-checkpoint identity of a run: its memoization key
-// with the measure length zeroed, so runs differing only in measure share
-// a warmed prefix.
-func (r *Runner) warmKey(bench trace.Source, pol defense.Policy, cfg *arch.Config) string {
-	pol = normalizePolicy(pol)
-	return speckey.Spec{
-		Benchmark: bench.Name(),
-		Scheme:    pol.Scheme.String(),
-		Variant:   pol.Variant.String(),
-		Conds:     uint8(pol.VPConds()),
-		Seed:      r.P.Seed,
-		Warmup:    r.P.Warmup,
-		Measure:   0,
-		Config:    effectiveConfig(bench, cfg),
-	}.Key()
-}
-
 // remoteSpec converts a run into a service job when the workload is a
 // benchmark proxy the service's registry also holds (same name, same
 // parameters — registries return fresh instances, so compare by value).
-func (r *Runner) remoteSpec(bench trace.Source, pol defense.Policy, cfg *arch.Config) (service.JobSpec, bool) {
+// The machine travels only when the request overrode it; the service
+// resolves the default machine itself.
+func remoteSpec(bench trace.Source, run simrun.Run, cfg *arch.Config) (service.JobSpec, bool) {
 	p, ok := bench.(*trace.Profile)
 	if !ok {
 		return service.JobSpec{}, false
@@ -289,15 +190,19 @@ func (r *Runner) remoteSpec(bench trace.Source, pol defense.Policy, cfg *arch.Co
 	if reg == nil || !reflect.DeepEqual(reg, p) {
 		return service.JobSpec{}, false
 	}
+	if cfg != nil {
+		cfg = run.Config
+	}
 	return service.JobSpec{
-		Benchmark: p.BenchName,
-		Scheme:    pol.Scheme.String(),
-		Variant:   pol.Variant.String(),
-		Conds:     pol.VPConds().Names(),
-		Seed:      r.P.Seed,
-		Warmup:    r.P.Warmup,
-		Measure:   r.P.Measure,
-		Config:    cfg,
+		Benchmark:   p.BenchName,
+		Scheme:      run.Policy.Scheme.String(),
+		Variant:     run.Policy.Variant.String(),
+		Consistency: run.Policy.Consistency.String(),
+		Conds:       run.Policy.VPConds().Names(),
+		Seed:        run.Seed,
+		Warmup:      run.Warmup,
+		Measure:     run.Measure,
+		Config:      cfg,
 	}, true
 }
 
@@ -310,7 +215,7 @@ func (r *Runner) runAll(reqs []runReq) error {
 	seen := make(map[string]bool, len(reqs))
 	var unique []runReq
 	for _, q := range reqs {
-		if k := r.key(q.bench, q.pol, q.cfg); !seen[k] {
+		if k := r.key(q); !seen[k] {
 			seen[k] = true
 			unique = append(unique, q)
 		}
@@ -387,7 +292,7 @@ func (r *Runner) runAll(reqs []runReq) error {
 
 // unsafeCPI returns the Unsafe-baseline CPI for the benchmark.
 func (r *Runner) unsafeCPI(bench trace.Source) (float64, error) {
-	out, err := r.run(bench, defense.Policy{Scheme: defense.Unsafe}, nil, "")
+	out, err := r.run(bench, defense.Policy{Scheme: defense.Unsafe}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -397,7 +302,7 @@ func (r *Runner) unsafeCPI(bench trace.Source) (float64, error) {
 // normalized returns the benchmark's CPI under the policy, normalized to
 // the Unsafe baseline.
 func (r *Runner) normalized(bench trace.Source, pol defense.Policy) (float64, error) {
-	out, err := r.run(bench, pol, nil, "")
+	out, err := r.run(bench, pol, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -27,7 +27,7 @@ func TestConcurrentRunSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, err := r.run(b, defense.Policy{Scheme: defense.Unsafe}, nil, "")
+			out, err := r.run(b, defense.Policy{Scheme: defense.Unsafe}, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -129,7 +129,7 @@ func TestRunAllPropagatesError(t *testing.T) {
 	bad := arch.PaperConfig(b.Cores())
 	bad.ROBEntries = 0 // rejected by Config.Validate
 	reqs := []runReq{
-		{bench: b, pol: defense.Policy{Scheme: defense.Unsafe}, cfg: &bad, cfgTag: "bad"},
+		{bench: b, pol: defense.Policy{Scheme: defense.Unsafe}, cfg: &bad},
 		unsafeReq(b),
 	}
 	err := r.runAll(reqs)
@@ -146,7 +146,7 @@ func TestRunAllPropagatesError(t *testing.T) {
 	// The failure is memoized: re-requesting it returns the same error
 	// without simulating again.
 	before := r.Simulations()
-	if _, err := r.run(b, defense.Policy{Scheme: defense.Unsafe}, &bad, "bad"); err == nil {
+	if _, err := r.run(b, defense.Policy{Scheme: defense.Unsafe}, &bad); err == nil {
 		t.Fatal("memoized failure lost")
 	}
 	if r.Simulations() != before {
@@ -200,7 +200,7 @@ func deadlockSource() trace.Source {
 // Runner panicked here.
 func TestDeadlockErrorPropagates(t *testing.T) {
 	r := NewRunner(tinyParams())
-	_, err := r.run(deadlockSource(), defense.Policy{Scheme: defense.Unsafe}, nil, "")
+	_, err := r.run(deadlockSource(), defense.Policy{Scheme: defense.Unsafe}, nil)
 	if err == nil {
 		t.Fatal("deadlocked workload returned no error")
 	}
@@ -242,7 +242,7 @@ func TestRemoteDispatch(t *testing.T) {
 	remote := &fakeRemote{}
 	r.Remote = remote
 	b := trace.ByName("leela_r")
-	out, err := r.run(b, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil, "")
+	out, err := r.run(b, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestRemoteDispatch(t *testing.T) {
 			remote.calls.Load(), r.RemoteRuns(), r.Simulations())
 	}
 	// A resubmit is a memo hit — no second remote call.
-	if _, err := r.run(b, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil, ""); err != nil {
+	if _, err := r.run(b, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if remote.calls.Load() != 1 {
@@ -263,7 +263,7 @@ func TestRemoteDispatch(t *testing.T) {
 	// Custom workloads cannot be named at the service; they stay local.
 	script := &trace.Script{ScriptName: "local-only", NumCores: 1,
 		Insts: [][]isa.Inst{{{Op: isa.ALU}}}, Loop: true}
-	if _, err := r.run(script, defense.Policy{Scheme: defense.Unsafe}, nil, ""); err != nil {
+	if _, err := r.run(script, defense.Policy{Scheme: defense.Unsafe}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if remote.calls.Load() != 1 || r.Simulations() != 1 {
@@ -273,7 +273,7 @@ func TestRemoteDispatch(t *testing.T) {
 	// Remote results match local results bit for bit (same deterministic
 	// simulation), so figures are identical either way.
 	local := NewRunner(tinyParams())
-	want, err := local.run(b, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil, "")
+	want, err := local.run(b, defense.Policy{Scheme: defense.Fence, Variant: defense.EP}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

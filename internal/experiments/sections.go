@@ -50,7 +50,7 @@ func RunTraffic(r *Runner) (*Traffic, error) {
 			row := TrafficRow{Scheme: sch, Variant: v}
 			var wSum, eSum float64
 			for _, b := range benches {
-				res, err := r.run(b, defense.Policy{Scheme: sch, Variant: v}, nil, "")
+				res, err := r.run(b, defense.Policy{Scheme: sch, Variant: v}, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -113,8 +113,8 @@ func cstReqs(b *trace.Profile) (finite, infinite runReq) {
 	cfg := arch.PaperConfig(b.Cores())
 	inf := cfg
 	inf.InfiniteCST = true
-	finite = runReq{bench: b, pol: pol, cfg: &cfg, cfgTag: "cst-default"}
-	infinite = runReq{bench: b, pol: pol, cfg: &inf, cfgTag: "cst-infinite"}
+	finite = runReq{bench: b, pol: pol, cfg: &cfg}
+	infinite = runReq{bench: b, pol: pol, cfg: &inf}
 	return finite, infinite
 }
 
@@ -195,7 +195,7 @@ func cptReqs(b *trace.Profile) (ideal, deflt runReq) {
 	pol := defense.Policy{Scheme: defense.Fence, Variant: defense.EP}
 	cfg := arch.PaperConfig(b.Cores())
 	cfg.CPTEntries = 0
-	ideal = runReq{bench: b, pol: pol, cfg: &cfg, cfgTag: "cpt-ideal"}
+	ideal = runReq{bench: b, pol: pol, cfg: &cfg}
 	deflt = runReq{bench: b, pol: pol}
 	return ideal, deflt
 }
@@ -283,7 +283,7 @@ type WdRow struct {
 
 // wdReq returns the request for one benchmark at the given reservation
 // size. Wd=2 is the default configuration, so it reuses the Figure 7/8
-// runs (empty tag); Wd=1 carries its own config and tag.
+// runs; Wd=1 carries its own config.
 func wdReq(b *trace.Profile, sch defense.Scheme, wd int) runReq {
 	pol := defense.Policy{Scheme: sch, Variant: defense.EP}
 	if wd == 2 {
@@ -291,7 +291,7 @@ func wdReq(b *trace.Profile, sch defense.Scheme, wd int) runReq {
 	}
 	cfg := arch.PaperConfig(b.Cores())
 	cfg.Wd = wd
-	return runReq{bench: b, pol: pol, cfg: &cfg, cfgTag: fmt.Sprintf("wd%d", wd)}
+	return runReq{bench: b, pol: pol, cfg: &cfg}
 }
 
 // RunWdStudy executes the Wd sensitivity study.

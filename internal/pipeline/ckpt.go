@@ -165,11 +165,7 @@ func (c *Core) SaveState(e *ckptio.Encoder) error {
 
 	e.Bool(c.predictor != nil)
 	if c.predictor != nil {
-		p, ok := c.predictor.(ckptio.Saver)
-		if !ok {
-			return fmt.Errorf("pipeline: predictor %T is not checkpointable", c.predictor)
-		}
-		p.SaveState(e)
+		c.predictor.SaveState(e)
 	}
 	e.U64(uint64(len(c.window)))
 	for i := range c.window {
@@ -311,12 +307,7 @@ func (c *Core) LoadState(d *ckptio.Decoder) {
 		return
 	}
 	if hasPred {
-		p, ok := c.predictor.(ckptio.Loader)
-		if !ok {
-			d.Failf("predictor %T is not checkpointable", c.predictor)
-			return
-		}
-		p.LoadState(d)
+		c.predictor.LoadState(d)
 	}
 	nw := d.Count(maxWindow)
 	c.window = c.window[:0]

@@ -158,7 +158,7 @@ type Core struct {
 	storeSeqs   []int64 // seqs of unretired Stores (program order)
 
 	// Frontend.
-	predictor  branch.Predictor // nil unless Config.RealPredictor
+	predictor  *branch.TAGE // nil unless Config.RealPredictor
 	window     []isa.Inst
 	windowBase int64 // stream index of window[0]
 	fetchPtr   int64 // next correct-path stream index to dispatch

@@ -31,22 +31,20 @@ func seedCheckpoint(t *testing.T, dir string, spec JobSpec, every int64) string 
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := spec.policy()
+	run, err := spec.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var blob []byte
-	_, err = simrun.Execute(context.Background(), w, pol, spec.Config, simrun.Params{
-		Seed: spec.Seed, Warmup: spec.Warmup, Measure: spec.Measure,
-		CheckpointIdentity: id,
-		CheckpointEvery:    every,
-		CheckpointSink: func(b []byte) error {
-			if blob == nil {
-				blob = append([]byte(nil), b...)
-			}
-			return nil
-		},
-	})
+	run.CheckpointIdentity = id
+	run.CheckpointEvery = every
+	run.CheckpointSink = func(b []byte) error {
+		if blob == nil {
+			blob = append([]byte(nil), b...)
+		}
+		return nil
+	}
+	_, err = simrun.Execute(context.Background(), w, run.Policy, run.Config, run.Params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,17 +302,12 @@ func (s *Server) runJob(j *job) {
 		s.finish(j, nil, false, err)
 		return
 	}
-	pol, err := j.spec.policy()
+	run, err := j.spec.run()
 	if err != nil {
 		s.finish(j, nil, false, err)
 		return
 	}
-	p := simrun.Params{
-		Seed:        j.spec.Seed,
-		Warmup:      j.spec.Warmup,
-		Measure:     j.spec.Measure,
-		TraceBuffer: j.spec.TraceBuffer,
-	}
+	p := run.Params
 	ckptPath := ""
 	if s.opt.CheckpointDir != "" {
 		ckptPath = filepath.Join(s.opt.CheckpointDir, j.id+".ckpt")
@@ -336,7 +331,7 @@ func (s *Server) runJob(j *job) {
 			p.Resume = blob
 		}
 	}
-	out, err := simrun.Execute(ctx, w, pol, j.spec.Config, p)
+	out, err := simrun.Execute(ctx, w, run.Policy, run.Config, p)
 	if err != nil && len(p.Resume) > 0 && !errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded) {
 		// A checkpoint from an older binary or a corrupted write can fail
@@ -344,7 +339,7 @@ func (s *Server) runJob(j *job) {
 		s.count("svc.resume_fallbacks")
 		os.Remove(ckptPath)
 		p.Resume = nil
-		out, err = simrun.Execute(ctx, w, pol, j.spec.Config, p)
+		out, err = simrun.Execute(ctx, w, run.Policy, run.Config, p)
 	}
 	if err == nil {
 		s.count("svc.executed")

@@ -11,7 +11,6 @@ import (
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/simrun"
-	"pinnedloads/internal/speckey"
 	"pinnedloads/internal/trace"
 )
 
@@ -49,58 +48,28 @@ type JobSpec struct {
 // names in their paper casing, every defaulted field made explicit
 // (including the effective machine configuration), and the VP condition
 // mask fully resolved. Two specs describing the same simulation normalize
-// to identical values, which is what makes Key content-addressed.
+// to identical values, which is what makes Key content-addressed. The
+// defaults are simrun.Run's, the ones every other consumer applies.
 func (s *JobSpec) Normalize() error {
 	if s.Benchmark == "" {
 		return fmt.Errorf("service: job spec needs a benchmark")
 	}
-	w := trace.ByName(s.Benchmark)
-	if w == nil {
-		return fmt.Errorf("service: unknown benchmark %q", s.Benchmark)
+	w, err := s.workload()
+	if err != nil {
+		return err
 	}
-	if s.Scheme == "" {
-		s.Scheme = defense.Unsafe.String()
-	}
-	sch, err := defense.ParseScheme(s.Scheme)
+	run, err := s.run()
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	s.Scheme = sch.String()
-	if s.Variant == "" {
-		s.Variant = defense.Comp.String()
-	}
-	v, err := defense.ParseVariant(s.Variant)
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	s.Variant = v.String()
-	if s.Consistency == "" {
-		s.Consistency = defense.TSO.String()
-	}
-	con, err := defense.ParseConsistency(s.Consistency)
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	s.Consistency = con.String()
-	var mask defense.Cond
-	for _, name := range s.Conds {
-		c, err := defense.ParseCond(name)
-		if err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-		mask |= c
-	}
-	pol := defense.Policy{Scheme: sch, Variant: v, Conds: mask, Consistency: con}
+	run.Cores = w.Cores()
+	run.Normalize()
+	pol := run.Policy
+	s.Scheme = pol.Scheme.String()
+	s.Variant = pol.Variant.String()
+	s.Consistency = pol.Consistency.String()
 	s.Conds = pol.VPConds().Names()
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.Warmup == 0 {
-		s.Warmup = simrun.DefaultWarmup
-	}
-	if s.Measure == 0 {
-		s.Measure = simrun.DefaultMeasure
-	}
+	s.Seed, s.Warmup, s.Measure, s.Config = run.Seed, run.Warmup, run.Measure, run.Config
 	switch {
 	case s.Warmup < 0:
 		return fmt.Errorf("service: warmup must be >= 0, got %d", s.Warmup)
@@ -108,16 +77,6 @@ func (s *JobSpec) Normalize() error {
 		return fmt.Errorf("service: measure must be > 0, got %d", s.Measure)
 	case s.TraceBuffer < 0:
 		return fmt.Errorf("service: trace_buffer must be >= 0, got %d", s.TraceBuffer)
-	}
-	if s.Config == nil {
-		cfg := arch.PaperConfig(w.Cores())
-		s.Config = &cfg
-	} else if s.Config.Cores < w.Cores() {
-		// The simulator raises the core count to the workload's; make the
-		// effective configuration explicit so the key reflects it.
-		cfg := *s.Config
-		cfg.Cores = w.Cores()
-		s.Config = &cfg
 	}
 	if err := s.Config.Validate(); err != nil {
 		return fmt.Errorf("service: %w", err)
@@ -128,50 +87,49 @@ func (s *JobSpec) Normalize() error {
 // Key returns the job's content-addressed ID. The spec must have been
 // normalized.
 func (s JobSpec) Key() string {
-	pol, err := s.policy()
+	run, err := s.run()
 	if err != nil {
 		// Normalize validated the names; reaching this is a caller bug.
 		panic(fmt.Sprintf("service: Key on unnormalized spec: %v", err))
 	}
-	return speckey.Spec{
-		Benchmark:   s.Benchmark,
-		Scheme:      pol.Scheme.String(),
-		Variant:     pol.Variant.String(),
-		Conds:       uint8(pol.VPConds()),
-		Consistency: pol.Consistency.String(),
-		Seed:        s.Seed,
-		Warmup:      s.Warmup,
-		Measure:     s.Measure,
-		TraceBuffer: s.TraceBuffer,
-		Config:      s.Config,
-	}.Key()
+	return run.Key()
 }
 
-// policy parses the spec's defense policy.
-func (s JobSpec) policy() (defense.Policy, error) {
-	sch, err := defense.ParseScheme(s.Scheme)
-	if err != nil {
-		return defense.Policy{}, err
-	}
-	v, err := defense.ParseVariant(s.Variant)
-	if err != nil {
-		return defense.Policy{}, err
-	}
-	con := defense.TSO
-	if s.Consistency != "" {
-		if con, err = defense.ParseConsistency(s.Consistency); err != nil {
-			return defense.Policy{}, err
+// run parses the spec into the simulator's run description. Empty names
+// mean the defaults: scheme Unsafe, variant Comp, TSO. Cores is left zero:
+// a normalized spec's Config already covers the workload's core count.
+func (s JobSpec) run() (simrun.Run, error) {
+	var pol defense.Policy
+	var err error
+	if s.Scheme != "" {
+		if pol.Scheme, err = defense.ParseScheme(s.Scheme); err != nil {
+			return simrun.Run{}, err
 		}
 	}
-	var mask defense.Cond
+	if s.Variant != "" {
+		if pol.Variant, err = defense.ParseVariant(s.Variant); err != nil {
+			return simrun.Run{}, err
+		}
+	}
+	if s.Consistency != "" {
+		if pol.Consistency, err = defense.ParseConsistency(s.Consistency); err != nil {
+			return simrun.Run{}, err
+		}
+	}
 	for _, name := range s.Conds {
 		c, err := defense.ParseCond(name)
 		if err != nil {
-			return defense.Policy{}, err
+			return simrun.Run{}, err
 		}
-		mask |= c
+		pol.Conds |= c
 	}
-	return defense.Policy{Scheme: sch, Variant: v, Conds: mask, Consistency: con}, nil
+	return simrun.Run{
+		Benchmark: s.Benchmark,
+		Policy:    pol,
+		Config:    s.Config,
+		Params: simrun.Params{Seed: s.Seed, Warmup: s.Warmup, Measure: s.Measure,
+			TraceBuffer: s.TraceBuffer},
+	}, nil
 }
 
 // workload resolves the spec's benchmark proxy.

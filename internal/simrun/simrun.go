@@ -2,10 +2,12 @@
 // consumers need — CPI, event counters, per-core Pinned Loads hardware
 // statistics and (optionally) the traced event stream — into a plain,
 // JSON-serializable Output. It is the single execution path shared by the
-// experiment runner's memoized worker pool and the simulation service's
-// job workers, so a result computed by either is interchangeable with the
-// other and nothing simulator-internal (no *core.System, no pointer into
-// one) escapes to the caller.
+// public pinnedloads.Run API, the experiment runner's memoized worker pool
+// and the simulation service's job workers, so a result computed by any of
+// them is interchangeable with the others and nothing simulator-internal
+// (no *core.System, no pointer into one) escapes to the caller. Run is the
+// matching single description: it applies every default and derives the
+// content-addressed key all three consumers use.
 package simrun
 
 import (
@@ -20,6 +22,7 @@ import (
 	"pinnedloads/internal/core"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/obs"
+	"pinnedloads/internal/speckey"
 	"pinnedloads/internal/trace"
 )
 
@@ -38,6 +41,10 @@ type Params struct {
 	// TraceBuffer, when positive, records the structured event stream into
 	// a ring of that capacity; Output.Events holds it.
 	TraceBuffer int
+	// MetricsInterval, when positive, captures a counter snapshot every
+	// that many cycles, plus one at the end of the run, into
+	// Output.Snapshots.
+	MetricsInterval int64
 
 	// CheckpointEvery, when positive, snapshots the full simulator state
 	// roughly every that many cycles (at the cycle-loop's existing poll
@@ -49,10 +56,6 @@ type Params struct {
 	// metadata (job ID, spec key); it is informational only.
 	CheckpointIdentity string
 
-	// WarmupSink, when set, receives one checkpoint captured exactly at
-	// the warmup/measure boundary — the shared-warmup fork point.
-	WarmupSink func([]byte)
-
 	// Resume, when non-empty, restores the simulator from an encoded
 	// checkpoint before running. The checkpoint's configuration/policy
 	// fingerprint must match or Execute fails with the typed mismatch
@@ -62,6 +65,68 @@ type Params struct {
 	// OnResume, when set alongside Resume, observes the restored
 	// checkpoint's metadata (e.g. to report how many cycles were skipped).
 	OnResume func(checkpoint.Meta)
+}
+
+// Run describes one simulation: the workload, by name and natural core
+// count so that a workload outside the benchmark registry is described
+// too, the defense policy, the machine and the Params. Every consumer
+// describes its runs this way — the public API, the experiment runner
+// and the simulation service — so Key names a result the same way
+// everywhere and Execute runs it the same way everywhere.
+type Run struct {
+	Benchmark string
+	Cores     int
+	Policy    defense.Policy
+	Config    *arch.Config
+	Params
+}
+
+// Normalize makes the run's defaults explicit: seed 1, DefaultWarmup and
+// DefaultMeasure for zero counts, and the paper machine at the workload's
+// core count for a nil Config. A Config with fewer cores than the
+// workload is replaced by a copy raised to the workload's count, as
+// core.New raises it. The Policy is left as given; Key resolves its VP
+// mask.
+func (r *Run) Normalize() {
+	if r.Seed == 0 {
+		r.Seed = 1
+	}
+	if r.Warmup == 0 {
+		r.Warmup = DefaultWarmup
+	}
+	if r.Measure == 0 {
+		r.Measure = DefaultMeasure
+	}
+	if r.Config == nil {
+		c := arch.PaperConfig(max(r.Cores, 1))
+		r.Config = &c
+	} else if r.Config.Cores < r.Cores {
+		c := *r.Config
+		c.Cores = r.Cores
+		r.Config = &c
+	}
+}
+
+// Key normalizes the run and returns its content-addressed identity: the
+// speckey digest over the benchmark name, the scheme, the variant, the
+// resolved VP mask, the consistency model, the effective machine, the
+// seed, the instruction counts and the trace-buffer size. The remaining
+// Params change how a run is observed or where it starts, never its
+// outcome, and are left out.
+func (r *Run) Key() string {
+	r.Normalize()
+	return speckey.Spec{
+		Benchmark:   r.Benchmark,
+		Scheme:      r.Policy.Scheme.String(),
+		Variant:     r.Policy.Variant.String(),
+		Conds:       uint8(r.Policy.VPConds()),
+		Consistency: r.Policy.Consistency.String(),
+		Seed:        r.Seed,
+		Warmup:      r.Warmup,
+		Measure:     r.Measure,
+		TraceBuffer: r.TraceBuffer,
+		Config:      r.Config,
+	}.Key()
 }
 
 // HW is the per-core Pinned Loads hardware summary of a finished run
@@ -92,6 +157,9 @@ type Output struct {
 	// EventsLost counts ring-buffer drops.
 	Events     []obs.Event `json:"events,omitempty"`
 	EventsLost uint64      `json:"events_lost,omitempty"`
+	// Snapshots holds the periodic counter snapshots
+	// (Params.MetricsInterval > 0).
+	Snapshots []obs.Snapshot `json:"snapshots,omitempty"`
 }
 
 // Execute runs one simulation of w under the policy and snapshots the
@@ -118,6 +186,7 @@ func Execute(ctx context.Context, w trace.Source, pol defense.Policy, cfg *arch.
 		ring = obs.NewRing(p.TraceBuffer)
 		sys.SetRecorder(ring)
 	}
+	sys.SampleEvery(p.MetricsInterval)
 	if len(p.Resume) > 0 {
 		meta, err := checkpoint.Restore(p.Resume, sys)
 		if err != nil {
@@ -136,22 +205,16 @@ func Execute(ctx context.Context, w trace.Source, pol defense.Policy, cfg *arch.
 			return p.CheckpointSink(b)
 		})
 	}
-	if p.WarmupSink != nil {
-		sys.SetWarmupHook(func() {
-			if b, err := checkpoint.Capture(sys, p.CheckpointIdentity); err == nil {
-				p.WarmupSink(b)
-			}
-		})
-	}
 	res, err := sys.RunContext(ctx, p.Warmup, p.Measure)
 	if err != nil {
 		return nil, fmt.Errorf("simrun: %s %s: %w", w.Name(), pol, err)
 	}
 	out = &Output{
-		CPI:      res.CPI,
-		Cycles:   res.Cycles,
-		Insts:    res.Insts,
-		Counters: res.Counters.Snapshot(),
+		CPI:       res.CPI,
+		Cycles:    res.Cycles,
+		Insts:     res.Insts,
+		Counters:  res.Counters.Snapshot(),
+		Snapshots: sys.Snapshots(),
 	}
 	if ring != nil {
 		out.Events = ring.Events()

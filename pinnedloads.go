@@ -31,13 +31,10 @@ import (
 
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/checkpoint"
-	"pinnedloads/internal/core"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
-	"pinnedloads/internal/obs"
 	"pinnedloads/internal/pin"
 	"pinnedloads/internal/simrun"
-	"pinnedloads/internal/speckey"
 	"pinnedloads/internal/stats"
 	"pinnedloads/internal/trace"
 	"pinnedloads/internal/tracefile"
@@ -252,75 +249,51 @@ func Run(spec RunSpec) (Result, error) {
 // deadline passes, the simulation stops mid-run (within a few thousand
 // simulated cycles) and the error wraps ctx.Err(). The simulation service
 // uses this to enforce per-job timeouts; interactive callers can bound
-// runaway configurations the same way.
+// runaway configurations the same way. A panic inside the simulator or
+// the workload is returned as an error.
 func RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 	w, err := resolveWorkload(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	var cfg Config
-	if spec.Config != nil {
-		cfg = *spec.Config
-	} else {
-		cores := w.Cores()
-		if cores < 1 {
-			cores = 1
-		}
-		cfg = arch.PaperConfig(cores)
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	warmup := spec.Warmup
-	if warmup == 0 {
-		warmup = DefaultWarmup
-	}
-	measure := spec.Measure
-	if measure == 0 {
-		measure = DefaultMeasure
-	}
-	policy := defense.Policy{Scheme: spec.Scheme, Variant: spec.Variant, Conds: spec.Conds,
-		Consistency: spec.Consistency}
-	sys, err := core.New(cfg, policy, w, seed)
+	run := spec.run(w)
+	run.Normalize()
+	out, err := simrun.Execute(ctx, w, run.Policy, run.Config, run.Params)
 	if err != nil {
 		return Result{}, err
 	}
-	var ring *obs.Ring
-	if spec.TraceBuffer > 0 {
-		ring = obs.NewRing(spec.TraceBuffer)
-		sys.SetRecorder(ring)
+	counters := new(Counters)
+	for name, v := range out.Counters {
+		counters.Add(name, v)
 	}
-	sys.SampleEvery(spec.MetricsInterval)
-	if len(spec.ResumeFrom) > 0 {
-		if _, err := checkpoint.Restore(spec.ResumeFrom, sys); err != nil {
-			return Result{}, err
-		}
+	return Result{CPI: out.CPI, Cycles: out.Cycles, Insts: out.Insts, Counters: counters,
+		Events: out.Events, EventsLost: out.EventsLost, Snapshots: out.Snapshots}, nil
+}
+
+// run describes the spec's simulation of w.
+func (spec RunSpec) run(w Workload) simrun.Run {
+	identity := spec.Benchmark
+	if identity == "" {
+		identity = w.Name()
 	}
-	if spec.CheckpointEvery > 0 && spec.CheckpointSink != nil {
-		identity := spec.Benchmark
-		if identity == "" && spec.Workload != nil {
-			identity = spec.Workload.Name()
-		}
-		sys.SetCheckpointHook(spec.CheckpointEvery, func() error {
-			b, err := checkpoint.Capture(sys, identity)
-			if err != nil {
-				return err
-			}
-			return spec.CheckpointSink(b)
-		})
+	return simrun.Run{
+		Benchmark: w.Name(),
+		Cores:     w.Cores(),
+		Policy: defense.Policy{Scheme: spec.Scheme, Variant: spec.Variant, Conds: spec.Conds,
+			Consistency: spec.Consistency},
+		Config: spec.Config,
+		Params: simrun.Params{
+			Seed:               spec.Seed,
+			Warmup:             spec.Warmup,
+			Measure:            spec.Measure,
+			TraceBuffer:        spec.TraceBuffer,
+			MetricsInterval:    spec.MetricsInterval,
+			CheckpointEvery:    spec.CheckpointEvery,
+			CheckpointSink:     spec.CheckpointSink,
+			CheckpointIdentity: identity,
+			Resume:             spec.ResumeFrom,
+		},
 	}
-	res, err := sys.RunContext(ctx, warmup, measure)
-	if err != nil {
-		return Result{}, err
-	}
-	out := Result{CPI: res.CPI, Cycles: res.Cycles, Insts: res.Insts, Counters: res.Counters,
-		Snapshots: sys.Snapshots()}
-	if ring != nil {
-		out.Events = ring.Events()
-		out.EventsLost = ring.Dropped()
-	}
-	return out, nil
 }
 
 // resolveWorkload returns the workload a spec runs.
@@ -353,56 +326,16 @@ func SpecKey(spec RunSpec) (string, error) {
 	name := spec.Benchmark
 	if spec.Workload != nil {
 		name = spec.Workload.Name()
-		p := trace.ByName(name)
-		if p == nil || !reflect.DeepEqual(Workload(p), spec.Workload) {
-			return "", fmt.Errorf("pinnedloads: workload %q is not a registered benchmark; custom workloads have no content-addressed key", name)
-		}
-	} else if trace.ByName(name) == nil {
-		return "", fmt.Errorf("pinnedloads: unknown benchmark %q", name)
 	}
 	w := trace.ByName(name)
-	cfg := spec.Config
-	if cfg == nil {
-		cores := w.Cores()
-		if cores < 1 {
-			cores = 1
-		}
-		c := arch.PaperConfig(cores)
-		cfg = &c
-	} else if cfg.Cores < w.Cores() {
-		// core.New raises the core count to the workload's; key the
-		// effective configuration, not the declared one.
-		c := *cfg
-		c.Cores = w.Cores()
-		cfg = &c
+	switch {
+	case spec.Workload != nil && (w == nil || !reflect.DeepEqual(Workload(w), spec.Workload)):
+		return "", fmt.Errorf("pinnedloads: workload %q is not a registered benchmark; custom workloads have no content-addressed key", name)
+	case w == nil:
+		return "", fmt.Errorf("pinnedloads: unknown benchmark %q", name)
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	warmup := spec.Warmup
-	if warmup == 0 {
-		warmup = DefaultWarmup
-	}
-	measure := spec.Measure
-	if measure == 0 {
-		measure = DefaultMeasure
-	}
-	pol := defense.Policy{Scheme: spec.Scheme, Variant: spec.Variant, Conds: spec.Conds,
-		Consistency: spec.Consistency}
-	k := speckey.Spec{
-		Benchmark:   name,
-		Scheme:      spec.Scheme.String(),
-		Variant:     spec.Variant.String(),
-		Conds:       uint8(pol.VPConds()),
-		Consistency: spec.Consistency.String(),
-		Seed:        seed,
-		Warmup:      warmup,
-		Measure:     measure,
-		TraceBuffer: spec.TraceBuffer,
-		Config:      cfg,
-	}
-	return k.Key(), nil
+	run := spec.run(w)
+	return run.Key(), nil
 }
 
 // Overhead converts a protected CPI and an unsafe-baseline CPI into the
