@@ -29,8 +29,11 @@ import (
 // Version is the current checkpoint format version. Version 2 added the
 // reversible-speculation state (RCP scheme): ROB-entry spec tokens, the
 // L1's spec-transaction journal and MSHR spec flags, and the directory's
-// spec-born line marks.
-const Version = 2
+// spec-born line marks. Version 3 sizes each core's ROB ring to the next
+// power of two >= Config.ROBEntries, so the ring length in the payload (256
+// slots for the 192-entry Table 1 ROB) changed; a version-2 blob is
+// rejected at Decode instead of failing inside Restore.
+const Version = 3
 
 // magic identifies a pinnedloads checkpoint.
 const magic = "PLCK"

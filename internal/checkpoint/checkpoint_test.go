@@ -1,18 +1,20 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
 	"pinnedloads/internal/arch"
+	"pinnedloads/internal/ckptio"
 	"pinnedloads/internal/core"
 	"pinnedloads/internal/defense"
 	"pinnedloads/internal/isa"
 	"pinnedloads/internal/trace"
 )
 
-func testSystem(t *testing.T) *core.System {
+func testSystem(t testing.TB) *core.System {
 	t.Helper()
 	w := trace.ByName("mcf_r")
 	if w == nil {
@@ -42,17 +44,77 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownVersion covers a future version and version 2,
+// whose payload has a different ROB ring length: both must fail at Decode
+// with a typed error, before a caller builds a system to restore into.
 func TestDecodeRejectsUnknownVersion(t *testing.T) {
-	blob := Encode(Meta{Identity: "x"}, []byte("payload"))
-	blob[4] = 99 // version byte
+	for _, v := range []uint8{2, 99} {
+		blob := Encode(Meta{Identity: "x"}, []byte("payload"))
+		blob[4] = v // version byte
 
-	_, _, err := Decode(blob)
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("want *VersionError, got %v", err)
+		_, _, err := Decode(blob)
+		var ve *VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("version %d: want *VersionError, got %v", v, err)
+		}
+		if ve.Version != v {
+			t.Fatalf("VersionError.Version = %d, want %d", ve.Version, v)
+		}
 	}
-	if ve.Version != 99 {
-		t.Fatalf("VersionError.Version = %d, want 99", ve.Version)
+}
+
+// pendAcksCheckpoint captures a real checkpoint and rewrites the first
+// way of directory slice 0 to claim 33 outstanding recall responses, one
+// more than the 32-core sharer mask allows. It finds that way by encoding
+// the slice on its own, locating those bytes in the payload, and decoding
+// the way's fields up to pendAcks in Dir.SaveState's order.
+func pendAcksCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	sys := testSystem(tb)
+	if _, err := sys.Run(200, 500); err != nil {
+		tb.Fatal(err)
+	}
+	blob, err := Capture(sys, "pend-acks")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, payload, err := Decode(blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := ckptio.NewEncoder()
+	sys.Mem().Dir(0).SaveState(e)
+	dir := e.Bytes()
+	at := bytes.Index(payload, dir)
+	if at < 0 {
+		tb.Fatal("directory slice 0 not found in the payload")
+	}
+	d := ckptio.NewDecoder(dir)
+	d.U64() // stamp
+	d.Int() // ways
+	d.Bool()
+	d.U64()
+	d.U32()
+	d.I64()
+	d.U8()
+	d.I64()
+	d.Bool()
+	d.U32()
+	off := len(dir) - len(d.Rest())
+	if dir[off] != 0 {
+		tb.Fatalf("way 0 of slice 0 has pending acks (byte %#x)", dir[off])
+	}
+	patched := append([]byte(nil), payload...)
+	patched[at+off] = 33 << 1 // zigzag varint of 33, same length as 0
+	return Encode(m, patched)
+}
+
+// TestRestoreRejectsPendAcksOutOfRange: the decoder bounds the narrowed
+// pendAcks field instead of truncating an out-of-range count into it.
+func TestRestoreRejectsPendAcksOutOfRange(t *testing.T) {
+	_, err := Restore(pendAcksCheckpoint(t), testSystem(t))
+	if err == nil || !strings.Contains(err.Error(), "pending-ack") {
+		t.Fatalf("Restore: got %v, want a pending-ack count failure", err)
 	}
 }
 

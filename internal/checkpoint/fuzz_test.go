@@ -11,9 +11,9 @@ import (
 )
 
 // specStateBlob captures a real mid-run checkpoint under the given policy
-// so the fuzz corpus includes version-2 payloads carrying reversible-
-// speculation state (spec tokens, the L1 spec journal, directory spec-born
-// marks) and RC-consistency configurations, not just hand-made payloads.
+// so the fuzz corpus includes payloads carrying reversible-speculation
+// state (spec tokens, the L1 spec journal, directory spec-born marks) and
+// RC-consistency configurations, not just hand-made payloads.
 func specStateBlob(f *testing.F, pol defense.Policy) []byte {
 	f.Helper()
 	atk := &trace.Attack{AttackKind: "spectre_v1", Secret: 1, Iters: 64}
@@ -49,13 +49,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	valid := Encode(Meta{Identity: "fuzz-seed", Cycle: 12345, Fingerprint: 0xabcdef},
 		[]byte("payload bytes of a pretend snapshot"))
 	f.Add(valid)
-	f.Add(valid[:len(valid)-1])         // truncated payload
-	f.Add(valid[:9])                    // header only
-	f.Add(valid[:4])                    // magic only
-	f.Add([]byte{})                     // empty
-	f.Add([]byte("PLCK"))               // magic, nothing else
-	f.Add([]byte("not a checkpoint"))   // garbage
-	f.Add(bytes.Repeat([]byte{0}, 64))  // zeros
+	f.Add(valid[:len(valid)-1])        // truncated payload
+	f.Add(valid[:9])                   // header only
+	f.Add(valid[:4])                   // magic only
+	f.Add([]byte{})                    // empty
+	f.Add([]byte("PLCK"))              // magic, nothing else
+	f.Add([]byte("not a checkpoint"))  // garbage
+	f.Add(bytes.Repeat([]byte{0}, 64)) // zeros
 	badVersion := append([]byte(nil), valid...)
 	badVersion[4] = 7
 	f.Add(badVersion)
@@ -66,6 +66,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(rcp)
 	f.Add(rcp[:len(rcp)/2]) // truncated mid-payload, through spec state
 	f.Add(specStateBlob(f, defense.Policy{Scheme: defense.RCP, Consistency: defense.RC}))
+	f.Add(pendAcksCheckpoint(f)) // valid envelope, out-of-range directory field
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, payload, err := Decode(data)

@@ -9,11 +9,13 @@ import (
 
 // Decode bounds: a fabric slot holds at most a few messages per controller,
 // the L1 keeps a handful of outstanding transactions, and the directory
-// backlog is bounded by the cores' outstanding requests.
+// backlog is bounded by the cores' outstanding requests. A recall waits on
+// at most one response per core in the uint32 sharer mask.
 const (
 	maxSlotMsgs = 1 << 16
 	maxTxns     = 1 << 12
 	maxBacklog  = 1 << 16
+	maxPendAcks = 32
 )
 
 // saveMsg / loadMsg serialize one coherence message.
@@ -259,7 +261,7 @@ func (d *Dir) SaveState(e *ckptio.Encoder) {
 		e.I64(int64(ln.busyReq))
 		e.Bool(ln.busyStar)
 		e.U32(ln.prevSharers)
-		e.Int(ln.pendAcks)
+		e.Int(int(ln.pendAcks))
 		e.Bool(ln.deferred)
 		e.U8(uint8(ln.fetchKind))
 		e.Bool(ln.specBorn)
@@ -299,7 +301,12 @@ func (d *Dir) LoadState(dec *ckptio.Decoder) {
 		ln.busyReq = int8(dec.I64())
 		ln.busyStar = dec.Bool()
 		ln.prevSharers = dec.U32()
-		ln.pendAcks = dec.Int()
+		acks := dec.Int()
+		if acks < 0 || acks > maxPendAcks {
+			dec.Failf("invalid directory pending-ack count %d", acks)
+			return
+		}
+		ln.pendAcks = int8(acks)
 		ln.deferred = dec.Bool()
 		fk := dec.U8()
 		if Kind(fk) >= numKinds {

@@ -24,22 +24,24 @@ const (
 )
 
 // dirLine is one LLC way with its embedded directory state. The LLC is
-// inclusive: any line cached in an L1 is present here.
+// inclusive: any line cached in an L1 is present here. Fields are ordered
+// widest first so the struct packs to 40 bytes: a 16-way set is 640 bytes
+// and the whole Table 1 LLC array about 10 MB per system.
 type dirLine struct {
-	valid       bool
 	addr        uint64
+	lru         uint64
 	sharers     uint32 // bitmask of L1s with (possibly stale) shared copies
-	owner       int8   // owning L1 for E/M lines, -1 if none
-	busy        busyKind
-	busyReq     int8   // requestor of the in-flight write transaction
-	busyStar    bool   // transaction uses GetX*/Inv*
 	prevSharers uint32 // sharer snapshot for Clear after a GetX* success
-	pendAcks    int    // outstanding recall responses
-	deferred    bool   // a recall response was RecallDefer
-	fetchKind   Kind   // original request kind for a busyFetch line
-	specBorn    bool   // line allocated by a speculative fill (RCP); removed
+	valid       bool
+	owner       int8 // owning L1 for E/M lines, -1 if none
+	busy        busyKind
+	busyReq     int8 // requestor of the in-flight write transaction
+	busyStar    bool // transaction uses GetX*/Inv*
+	pendAcks    int8 // outstanding recall responses, at most one per core
+	deferred    bool // a recall response was RecallDefer
+	fetchKind   Kind // original request kind for a busyFetch line
+	specBorn    bool // line allocated by a speculative fill (RCP); removed
 	// again by SpecUndo if every speculative reference is squashed
-	lru uint64
 }
 
 // dirCounters holds pre-bound handles for the directory's cycle-path
@@ -121,20 +123,6 @@ func (d *Dir) touch(e *dirLine) {
 	e.lru = d.stamp
 }
 
-// PinnedInSet reports how many lines in the home set of the given line are
-// currently pinned according to the directory's conservative knowledge.
-// It is used only by tests and debugging tools; the cores' CSTs are the
-// authoritative per-core accounting.
-func (d *Dir) PinnedInSet(line uint64) int {
-	n := 0
-	for i := range d.set(line) {
-		if d.set(line)[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
 // DirSnap is one valid directory/LLC line in a Snapshot: its home set, the
 // line address, sharer/owner bookkeeping, any transient state, and the
 // recency rank within its set (0 = most recently used). Like
@@ -179,18 +167,24 @@ func (d *Dir) Snapshot() []DirSnap {
 
 // InstallWarm pre-populates the LLC with a line (present, no L1 copies),
 // modeling the warm cache state a checkpointed simulation starts from. It
-// does nothing if the line is present or its set has no free way.
+// does nothing if the line is present or its set has no free way; otherwise
+// the line takes the set's first invalid way. One pass over the set decides
+// both.
 func (d *Dir) InstallWarm(line uint64) {
-	if d.lookup(line) != nil {
-		return
-	}
 	ws := d.set(line)
+	free := -1
 	for i := range ws {
 		if !ws[i].valid {
-			ws[i] = dirLine{valid: true, addr: line, owner: -1}
-			d.touch(&ws[i])
+			if free < 0 {
+				free = i
+			}
+		} else if ws[i].addr == line {
 			return
 		}
+	}
+	if free >= 0 {
+		ws[free] = dirLine{valid: true, addr: line, owner: -1}
+		d.touch(&ws[free])
 	}
 }
 

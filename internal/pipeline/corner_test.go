@@ -221,3 +221,50 @@ func TestTakenBranchEndsFetchGroup(t *testing.T) {
 		t.Fatalf("taken-branch stream too slow: %d", c.Retired())
 	}
 }
+
+// TestROBRingCapacity: the ROB ring is sized to a power of two for mask
+// indexing, but the modelled ROB holds exactly Config.ROBEntries entries:
+// occupancy never exceeds it, and the rob_full stall first fires at that
+// occupancy, never earlier.
+func TestROBRingCapacity(t *testing.T) {
+	// A DRAM miss at the head backs up a long run of independent ALU ops.
+	insts := []isa.Inst{{Op: isa.Load, Addr: 0x40000000}}
+	for i := 0; i < 600; i++ {
+		insts = append(insts, isa.Inst{Op: isa.ALU, Lat: 1})
+	}
+	for _, rob := range []int{192, 100, 256} {
+		cfg := arch.PaperConfig(1)
+		cfg.ROBEntries = rob
+		count := &stats.Counters{}
+		mem := coherence.NewSystem(&cfg, count)
+		w := &trace.Script{ScriptName: "rob", Insts: [][]isa.Inst{insts}}
+		c := NewCore(0, &cfg, defense.Policy{Scheme: defense.Unsafe},
+			mem.L1(0), w.Generator(0, 1), NewBarrierSync(1), count)
+
+		n := len(c.entries)
+		if n&(n-1) != 0 || n < rob || n >= 2*rob {
+			t.Fatalf("ROBEntries %d: ring length %d, want the next power of two", rob, n)
+		}
+		if len(c.states) != n {
+			t.Fatalf("ROBEntries %d: states mirror has %d slots, ring %d", rob, len(c.states), n)
+		}
+		stalled := false
+		for cycle := 1; cycle <= 2000 && !stalled; cycle++ {
+			run(c, mem, 1)
+			occ := c.tail - c.head
+			if occ > int64(rob) {
+				t.Fatalf("ROBEntries %d: %d entries in flight at cycle %d", rob, occ, cycle)
+			}
+			if count.Get("stall.rob_full") > 0 {
+				stalled = true
+				if occ != int64(rob) {
+					t.Fatalf("ROBEntries %d: rob_full first stalled at occupancy %d", rob, occ)
+				}
+			}
+			checkStateMirror(t, c, cycle)
+		}
+		if !stalled {
+			t.Fatalf("ROBEntries %d: the ROB never filled", rob)
+		}
+	}
+}

@@ -38,7 +38,7 @@ func (c *Core) dispatch() {
 		return
 	}
 	for n := 0; n < c.cfg.IssueWidth; n++ {
-		if c.tail-c.head >= int64(len(c.entries)) {
+		if c.tail-c.head >= int64(c.cfg.ROBEntries) {
 			*c.cnt.stallROBFull++
 			return
 		}

@@ -10,6 +10,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pinnedloads/internal/arch"
 	"pinnedloads/internal/branch"
@@ -140,8 +141,13 @@ type Core struct {
 
 	now int64
 
-	// ROB ring. entries[seq % len] is valid for head <= seq < tail.
+	// ROB ring. entries[seq & robMask] is valid for head <= seq < tail.
+	// The ring is sized to the next power of two >= cfg.ROBEntries so a
+	// probe is a mask, not a division; dispatch still caps occupancy at
+	// cfg.ROBEntries, and stale refs are rejected by their unique gen, so
+	// the spare slots never change what is simulated.
 	entries []entry
+	robMask int64
 	head    int64
 	tail    int64
 	// states mirrors entries[i].state in a dense parallel array so the
@@ -227,6 +233,7 @@ type Core struct {
 // NewCore builds a core attached to an L1 and a workload generator.
 func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 	gen trace.Generator, bar *BarrierSync, count *stats.Counters) *Core {
+	ringSize := 1 << bits.Len(uint(cfg.ROBEntries-1))
 	c := &Core{
 		id:             id,
 		cfg:            cfg,
@@ -237,8 +244,9 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 		count:          count,
 		cnt:            bindCoreCounters(count),
 		rec:            obs.Nop,
-		entries:        make([]entry, cfg.ROBEntries),
-		states:         make([]uint8, cfg.ROBEntries),
+		entries:        make([]entry, ringSize),
+		robMask:        int64(ringSize - 1),
+		states:         make([]uint8, ringSize),
 		tokenSeq:       make(map[int64]int64),
 		pinnedRef:      make(map[uint64]int),
 		tagToSeq:       make(map[uint32]int64),
@@ -269,20 +277,20 @@ func NewCore(id int, cfg *arch.Config, policy defense.Policy, l1 *coherence.L1,
 
 // at returns the ROB entry for seq (which must satisfy head <= seq < tail).
 func (c *Core) at(seq int64) *entry {
-	return &c.entries[seq%int64(len(c.entries))]
+	return &c.entries[seq&c.robMask]
 }
 
 // setState transitions e's state machine, keeping the dense states array
 // (see the Core field) in sync.
 func (c *Core) setState(e *entry, st uint8) {
 	e.state = st
-	c.states[e.seq%int64(len(c.entries))] = st
+	c.states[e.seq&c.robMask] = st
 }
 
 // stateOf reads seq's state from the dense array (for scan loops that
 // reject most entries without touching the ROB ring).
 func (c *Core) stateOf(seq int64) uint8 {
-	return c.states[seq%int64(len(c.entries))]
+	return c.states[seq&c.robMask]
 }
 
 // valid reports whether seq names a live ROB entry.

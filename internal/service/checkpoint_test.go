@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"pinnedloads/internal/checkpoint"
 	"pinnedloads/internal/simrun"
 )
 
@@ -145,6 +147,54 @@ func TestInvalidCheckpointRunsCold(t *testing.T) {
 	}
 	if m["svc.resumed_jobs"] != 0 {
 		t.Errorf("svc.resumed_jobs = %d, want 0", m["svc.resumed_jobs"])
+	}
+}
+
+// TestVersion2CheckpointRunsCold: a checkpoint left by a binary that wrote
+// format version 2 (whose ROB ring length differs) must be rejected while
+// it is pre-validated — counted as svc.checkpoint_invalid, never handed to
+// a resume that fails and falls back — and the job must run cold.
+func TestVersion2CheckpointRunsCold(t *testing.T) {
+	spec := ckptSpec()
+	dir := t.TempDir()
+	path := seedCheckpoint(t, dir, spec, 10_000)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[4] = 2 // the version byte; the CRC covers only what follows it
+	var ve *checkpoint.VersionError
+	if _, _, err := checkpoint.Decode(blob); !errors.As(err, &ve) {
+		t.Fatalf("Decode of a version-2 blob: got %v, want *VersionError", err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Options{Workers: 1, CheckpointDir: dir, CheckpointEvery: 10_000})
+	s.Start()
+	defer s.Close()
+	st, err := s.Submit(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Wait(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateDone {
+		t.Fatalf("job state %s: %s", got.State, got.Error)
+	}
+	m := metricsMap(t, s)
+	for name, want := range map[string]uint64{
+		"svc.checkpoint_invalid": 1,
+		"svc.resume_fallbacks":   0,
+		"svc.resumed_jobs":       0,
+		"svc.executed":           1,
+	} {
+		if m[name] != want {
+			t.Errorf("%s = %d, want %d", name, m[name], want)
+		}
 	}
 }
 

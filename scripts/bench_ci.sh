@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Benchmark gate: run the CoreCycle benchmark family and compare it
-# against the committed BENCH_baseline.json with cmd/bench_diff. The gate
-# fails on a >BENCH_TOLERANCE ns/cycle regression or ANY allocs/cycle
-# regression. Every run also self-tests the gate by injecting a synthetic
-# regression into the same measurements and asserting it is rejected, so a
-# silently toothless comparison cannot pass CI.
+# Benchmark gate: run the CoreCycle, Checkpoint and CoreNew benchmark
+# families and compare them against the committed BENCH_baseline.json with
+# cmd/bench_diff (a benchmark absent from the baseline is listed as new,
+# not gated). The gate fails on a >BENCH_TOLERANCE ns/cycle regression or
+# ANY allocs/cycle regression. Every run also self-tests the gate by
+# injecting a synthetic regression into the same measurements and
+# asserting it is rejected, so a silently toothless comparison cannot pass
+# CI.
 #
 # Environment:
 #   BENCH_TOLERANCE  fractional ns/op tolerance (default 0.10)
@@ -26,8 +28,8 @@ trap 'rm -f "$out"' EXIT
 echo "--- building bench_diff"
 go build -o /tmp/bench_diff ./cmd/bench_diff
 
-echo "--- running CoreCycle + Checkpoint benchmarks (benchtime=$benchtime count=$count)"
-go test ./internal/core -run '^$' -bench 'BenchmarkCoreCycle|BenchmarkCheckpoint' \
+echo "--- running CoreCycle + Checkpoint + CoreNew benchmarks (benchtime=$benchtime count=$count)"
+go test ./internal/core -run '^$' -bench 'BenchmarkCoreCycle|BenchmarkCheckpoint|BenchmarkCoreNew' \
     -benchtime "$benchtime" -count "$count" | tee "$out"
 
 if [ "${1:-}" = "rebaseline" ]; then
